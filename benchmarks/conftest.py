@@ -42,7 +42,8 @@ def benchmark_pipeline_config(seed: int = 0) -> PipelineConfig:
     """The configuration used to regenerate the paper's figures.
 
     Scaled from the paper's Llama2-7B / ~3000-pair / 200-epoch setup down to a
-    few CPU-minutes; all qualitative trends are preserved (see EXPERIMENTS.md).
+    few CPU-minutes; all qualitative trends are preserved (the paper-figure
+    benchmarks in this directory assert them).
     """
     return PipelineConfig(
         pretrain=PretrainConfig(num_steps=280, batch_size=16, seed=seed),

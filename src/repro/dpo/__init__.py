@@ -1,25 +1,14 @@
 """Direct preference optimization: dataset encoding, loss, trainer, metrics.
 
-Includes the streaming training-data path (:mod:`repro.dpo.stream`): a
-:class:`PairStream` channel of preference pairs, an incremental
-:class:`DPODatasetWriter` that tokenises pairs as verification produces them
-(optionally spilling encoded pairs to a JSONL shard), and the
-:class:`DatasetHandle` the trainer consumes so mini-batching can begin before
-the slowest task has verified.
+Also the encoded-pair spill format (:mod:`repro.dpo.stream`): a
+:class:`DPODatasetWriter` that tokenises pairs into an atomically-committed
+JSONL shard, and :func:`read_encoded_pairs` to reload it.
 """
 
 from repro.dpo.dataset import DPODataset, EncodedPair, encode_preference_pair
 from repro.dpo.loss import DPOBatchMetrics, dpo_step, sigmoid, stack_pair_batch
 from repro.dpo.metrics import MultiSeedCurves, TrainingHistory
-from repro.dpo.stream import (
-    DatasetHandle,
-    DPODatasetWriter,
-    PairStream,
-    StreamClosed,
-    StreamTelemetry,
-    encoded_pair_record,
-    read_encoded_pairs,
-)
+from repro.dpo.stream import DPODatasetWriter, encoded_pair_record, read_encoded_pairs
 from repro.dpo.trainer import DPOConfig, DPOResult, DPOTrainer, run_dpo
 
 __all__ = [
@@ -32,11 +21,7 @@ __all__ = [
     "stack_pair_batch",
     "MultiSeedCurves",
     "TrainingHistory",
-    "DatasetHandle",
     "DPODatasetWriter",
-    "PairStream",
-    "StreamClosed",
-    "StreamTelemetry",
     "encoded_pair_record",
     "read_encoded_pairs",
     "DPOConfig",

@@ -32,10 +32,10 @@ class EncodedPair:
 def encode_preference_pair(pair: PreferencePair, tokenizer: Tokenizer, *, max_seq_len: int = 96) -> EncodedPair:
     """Tokenise one preference pair (truncating over-long sequences).
 
-    The single source of truth for pair encoding: both the blocking
-    :meth:`DPODataset.from_preference_pairs` batch path and the incremental
+    The single source of truth for pair encoding: both
+    :meth:`DPODataset.from_preference_pairs` and the spill writer
     :class:`~repro.dpo.stream.DPODatasetWriter` call this, which is what makes
-    a streamed dataset bitwise-identical to a blocking-built one.
+    a reloaded spill equal to a dataset built from the same pairs.
     """
     if not isinstance(pair, PreferencePair):
         raise TrainingError(f"expected PreferencePair, got {type(pair)!r}")
@@ -53,16 +53,7 @@ def encode_preference_pair(pair: PreferencePair, tokenizer: Tokenizer, *, max_se
 
 @dataclass
 class DPODataset:
-    """A tokenised preference dataset ready for mini-batching.
-
-    Append-friendly: besides being built in one shot with
-    :meth:`from_preference_pairs`, a dataset can grow incrementally through
-    :meth:`append` / :meth:`extend` (the shape
-    :class:`~repro.dpo.stream.DPODatasetWriter` feeds while verification is
-    still in flight) and can materialise a mini-batch over any explicit index
-    window with :meth:`batch` — what the trainer's streamed first epoch uses
-    to consume a growing prefix.
-    """
+    """A tokenised preference dataset ready for mini-batching."""
 
     pairs: list = field(default_factory=list)          # list[EncodedPair]
     tokenizer: Tokenizer = None
@@ -81,26 +72,8 @@ class DPODataset:
         max_seq_len: int = 96,
     ) -> "DPODataset":
         """Encode raw preference pairs (truncating over-long sequences)."""
-        dataset = cls(pairs=[], tokenizer=tokenizer, max_seq_len=max_seq_len)
-        for pair in pairs:
-            dataset.append(pair)
-        return dataset
-
-    # ------------------------------------------------------------------ #
-    def append(self, pair) -> EncodedPair:
-        """Encode and append one pair; accepts raw or already-encoded pairs."""
-        encoded = (
-            pair
-            if isinstance(pair, EncodedPair)
-            else encode_preference_pair(pair, self.tokenizer, max_seq_len=self.max_seq_len)
-        )
-        self.pairs.append(encoded)
-        return encoded
-
-    def extend(self, pairs) -> None:
-        """Append several raw or encoded pairs in order."""
-        for pair in pairs:
-            self.append(pair)
+        encoded = [encode_preference_pair(pair, tokenizer, max_seq_len=max_seq_len) for pair in pairs]
+        return cls(pairs=encoded, tokenizer=tokenizer, max_seq_len=max_seq_len)
 
     # ------------------------------------------------------------------ #
     def _pad_batch(self, sequences: list, starts: list) -> tuple:
@@ -121,9 +94,7 @@ class DPODataset:
         """Materialise one mini-batch over an explicit index selection.
 
         ``indices`` is any integer sequence; the returned dictionary has the
-        same arrays :meth:`batches` yields.  Used directly by the streamed
-        trainer epoch, which batches over a contiguous, still-growing prefix
-        instead of a shuffled permutation.
+        same arrays :meth:`batches` yields.
         """
         index = np.asarray(list(indices), dtype=np.int64)
         chosen = [self.pairs[i].chosen_ids for i in index]

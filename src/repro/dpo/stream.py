@@ -1,429 +1,74 @@
-"""Streaming DPO training data: pair channel, incremental writer, dataset handle.
-
-The blocking pipeline buffers every :class:`~repro.feedback.ranker.
-PreferencePair` into a list, tokenises the whole list into a
-:class:`~repro.dpo.dataset.DPODataset`, and only then starts training.  This
-module decomposes that into three producer/consumer stages so verification,
-encoding and training can *overlap*:
-
-``PairStream``
-    An ordered, bounded channel of preference pairs.  The producer (the
-    pipeline draining ``PendingBatch.as_completed`` in task order) ``put``\\ s
-    pairs the moment a task's scores land; a ``maxsize`` bound applies
-    back-pressure, blocking a producer that runs ahead of the encoder.
-    ``close()`` ends the stream; ``abort(exc)`` propagates a producer failure
-    to the consumer instead of hanging it.
+"""Encoded preference-pair spills: an atomic JSONL writer and its reader.
 
 ``DPODatasetWriter``
-    The encoding stage: consumes a ``PairStream`` (or direct ``append``
-    calls), tokenises each pair *the moment it arrives* via
-    :func:`~repro.dpo.dataset.encode_preference_pair` — the exact function the
-    blocking ``DPODataset.from_preference_pairs`` uses, so the sealed result
-    is bitwise-identical to a blocking build — and can additionally *spill*
-    every encoded pair to a JSONL shard (``spill_path``): a durable,
-    incrementally-written encoding of the corpus that later runs reload with
-    :func:`read_encoded_pairs` without re-ranking or re-tokenising (the
-    current run still holds the dataset in memory for training).  Spills are
-    written through a tmp file and moved into place at seal time, so a crash
-    mid-run never leaves a truncated shard.
+    Tokenises each :class:`~repro.feedback.ranker.PreferencePair` it is given
+    via :func:`~repro.dpo.dataset.encode_preference_pair` — the exact function
+    ``DPODataset.from_preference_pairs`` uses, so the spill holds the same
+    pairs, token ids and response-mask starts a dataset build would — and
+    writes one JSON record per pair (:func:`encoded_pair_record`) to a JSONL
+    shard.  Writes land in a tmp sibling that is moved into place at
+    :meth:`~DPODatasetWriter.seal`, so a crash or an exception mid-file never
+    leaves a truncated shard (``repro-serve --pairs-output`` writes through
+    it).
 
-``DatasetHandle``
-    The trainer-facing view of the growing dataset: thread-safe appends on
-    the writer side, ``wait_available`` / ``wait_trainable`` / ``dataset()``
-    on the consumer side.  The handle is *sealed* exactly once, at the epoch
-    boundary between the streamed warm-up pass and the shuffled epochs; after
-    ``seal()`` appends raise and ``dataset()`` returns the frozen
-    :class:`~repro.dpo.dataset.DPODataset`.
-
-Determinism guarantees
-----------------------
-Pairs flow through the stream in *task submission order* (the producer
-reorders completion-order results into a contiguous prefix), and encoding is
-a pure function of the pair, so:
-
-* the sealed streamed dataset equals the blocking-built dataset — same pair
-  order, token ids and response masks — on every serving backend;
-* the trainer's streamed warm-up epoch consumes pairs in that same canonical
-  order, so a streamed training run is reproducible regardless of how
-  verification timing interleaves with encoding.
+:func:`read_encoded_pairs`
+    Reloads a shard as :class:`~repro.dpo.dataset.EncodedPair` records, so a
+    later process can rebuild a training set without re-ranking or
+    re-tokenising.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs import tracer as obs
-from repro.dpo.dataset import DPODataset, EncodedPair, encode_preference_pair
-from repro.errors import TrainingError
+from repro.dpo.dataset import EncodedPair, encode_preference_pair
 from repro.lm.tokenizer import Tokenizer
 from repro.utils.atomic import AtomicTextWriter
 
 
-class StreamClosed(RuntimeError):
-    """Raised when putting into a stream that was already closed or aborted."""
-
-
-@dataclass
-class StreamTelemetry:
-    """Wall-clock accounting of one streaming encode stage."""
-
-    pairs_encoded: int = 0
-    encode_seconds: float = 0.0        # CPU time spent tokenising pairs
-    first_pair_seconds: float | None = None   # writer start -> first encoded pair
-    sealed_seconds: float | None = None       # writer start -> seal
-    producer_blocked_seconds: float = 0.0     # producer time blocked on the stream bound
-
-    def snapshot(self) -> dict:
-        """JSON-friendly view of the counters."""
-        return {
-            "pairs_encoded": self.pairs_encoded,
-            "encode_seconds": self.encode_seconds,
-            "first_pair_seconds": self.first_pair_seconds,
-            "sealed_seconds": self.sealed_seconds,
-            "producer_blocked_seconds": self.producer_blocked_seconds,
-        }
-
-
-class PairStream:
-    """A bounded, ordered, thread-safe channel of preference pairs.
-
-    One producer thread ``put``\\ s pairs in canonical (task submission)
-    order; one consumer iterates them in exactly that order.  ``maxsize``
-    bounds the number of undelivered pairs — a producer ahead of the consumer
-    blocks (back-pressure), with blocked time accumulated on
-    ``blocked_seconds``.  ``close()`` ends iteration after the remaining
-    pairs drain; ``abort(exc)`` makes the consumer's next step re-raise
-    ``exc`` so a producer failure can never hang the consumer.
-    """
-
-    def __init__(self, maxsize: int = 0):
-        if maxsize < 0:
-            raise ValueError(f"maxsize must be >= 0, got {maxsize}")
-        self.maxsize = maxsize
-        self.blocked_seconds = 0.0
-        self._items: deque = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-        self._error: BaseException | None = None
-
-    # ------------------------------------------------------------------ #
-    def put(self, pair) -> None:
-        """Append one pair, blocking while the stream is at ``maxsize``."""
-        with self._cond:
-            blocked_since = None
-            while not self._closed and self.maxsize and len(self._items) >= self.maxsize:
-                if blocked_since is None:
-                    blocked_since = time.perf_counter()
-                self._cond.wait()
-            if blocked_since is not None:
-                self.blocked_seconds += time.perf_counter() - blocked_since
-            if self._closed:
-                raise StreamClosed("put on a closed PairStream")
-            self._items.append(pair)
-            self._cond.notify_all()
-
-    def put_many(self, pairs) -> None:
-        """Append several pairs in order (each observing the bound)."""
-        for pair in pairs:
-            self.put(pair)
-
-    def close(self) -> None:
-        """End the stream: consumers drain the remaining pairs, then stop."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    def abort(self, error: BaseException) -> None:
-        """Close the stream, discarding queued pairs; consumers raise ``error``."""
-        with self._cond:
-            self._error = error
-            self._closed = True
-            self._items.clear()
-            self._cond.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` or :meth:`abort` has run."""
-        with self._cond:
-            return self._closed
-
-    def __iter__(self):
-        """Yield pairs in put order until the stream closes (or re-raise an abort)."""
-        while True:
-            with self._cond:
-                while not self._items and not self._closed:
-                    self._cond.wait()
-                if self._error is not None:
-                    raise self._error
-                if not self._items:
-                    return
-                item = self._items.popleft()
-                self._cond.notify_all()
-            yield item
-
-
-class DatasetHandle:
-    """The trainer's view of a dataset still being written.
-
-    The writer side appends encoded pairs and finally :meth:`seal`\\ s (or
-    :meth:`fail`\\ s); the trainer side blocks on :meth:`wait_available` /
-    :meth:`wait_trainable` and materialises batches over the pairs landed so
-    far.  All methods are thread-safe; a ``fail()`` wakes every waiter with
-    the producer's exception, so an upstream crash can never deadlock the
-    trainer.
-    """
-
-    def __init__(self, dataset: DPODataset):
-        self._dataset = dataset
-        self._cond = threading.Condition()
-        self._sealed = False
-        self._error: BaseException | None = None
-        self._progress = 0.0
-
-    # ------------------------------------------------------------------ #
-    # Writer side
-    # ------------------------------------------------------------------ #
-    def append(self, encoded: EncodedPair) -> None:
-        """Add one already-encoded pair; raises after :meth:`seal`."""
-        with self._cond:
-            if self._sealed:
-                raise TrainingError("append on a sealed DatasetHandle")
-            self._dataset.pairs.append(encoded)
-            self._cond.notify_all()
-
-    def report_progress(self, done: int, total: int) -> None:
-        """Record producer progress (``done`` of ``total`` upstream units).
-
-        The unit is whatever the producer counts — the pipeline reports
-        drained *tasks* — and ``wait_trainable`` compares the resulting
-        fraction against the warm-up threshold.
-        """
-        with self._cond:
-            self._progress = (done / total) if total else 1.0
-            self._cond.notify_all()
-
-    def seal(self) -> None:
-        """Freeze the dataset: no further appends; waiters see the final state."""
-        with self._cond:
-            self._sealed = True
-            self._progress = 1.0
-            self._cond.notify_all()
-
-    def fail(self, error: BaseException) -> None:
-        """Seal with an error: every current and future wait re-raises it."""
-        with self._cond:
-            self._error = error
-            self._sealed = True
-            self._cond.notify_all()
-
-    # ------------------------------------------------------------------ #
-    # Trainer side
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        with self._cond:
-            return len(self._dataset.pairs)
-
-    @property
-    def sealed(self) -> bool:
-        """Whether the writer has sealed (or failed) the dataset."""
-        with self._cond:
-            return self._sealed
-
-    @property
-    def progress(self) -> float:
-        """Latest producer-reported completion fraction (1.0 once sealed)."""
-        with self._cond:
-            return self._progress
-
-    def _check_error(self) -> None:
-        if self._error is not None:
-            raise self._error
-
-    def wait_available(self, count: int, timeout: float | None = None) -> int:
-        """Block until ``count`` pairs landed or the handle sealed.
-
-        Returns ``min(count, len(self))`` at that moment — the end index a
-        streamed consumer may batch up to.  Re-raises the producer's error
-        after :meth:`fail`.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while len(self._dataset.pairs) < count and not self._sealed:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError(f"waited {timeout}s for {count} pairs")
-                self._cond.wait(remaining)
-            self._check_error()
-            return min(count, len(self._dataset.pairs))
-
-    def wait_trainable(self, warmup_fraction: float, *, timeout: float | None = None) -> int:
-        """Block until the warm-up threshold is met; return the pairs landed.
-
-        Trainable means *at least one pair* has landed **and** the producer
-        progress has reached ``warmup_fraction`` (or the handle sealed,
-        whichever comes first).  ``warmup_fraction=0.0`` unblocks on the first
-        pair; ``1.0`` waits for the seal — the blocking degenerate case.
-        """
-        if not 0.0 <= warmup_fraction <= 1.0:
-            raise ValueError(f"warmup_fraction must be in [0, 1], got {warmup_fraction}")
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while not self._sealed and not (
-                self._dataset.pairs and self._progress >= warmup_fraction
-            ):
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError(f"warm-up fraction {warmup_fraction} never reached")
-                self._cond.wait(remaining)
-            self._check_error()
-            return len(self._dataset.pairs)
-
-    def wait_sealed(self, timeout: float | None = None) -> None:
-        """Block until :meth:`seal` (or :meth:`fail`, which re-raises)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while not self._sealed:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError("DatasetHandle never sealed")
-                self._cond.wait(remaining)
-            self._check_error()
-
-    def dataset(self, timeout: float | None = None) -> DPODataset:
-        """The sealed dataset (blocks until sealed) — the blocking entry point."""
-        self.wait_sealed(timeout)
-        return self._dataset
-
-    def growing_dataset(self) -> DPODataset:
-        """The underlying (possibly still growing) dataset, without waiting.
-
-        Safe to *batch* from — appends only ever extend ``pairs``, and the
-        streamed trainer only indexes below a bound returned by
-        :meth:`wait_available` — but its length is a moving target until
-        :attr:`sealed`.
-        """
-        return self._dataset
-
-
 class DPODatasetWriter:
-    """Incrementally tokenise preference pairs into a :class:`DatasetHandle`.
+    """Incrementally tokenise preference pairs into an atomically-committed spill.
 
-    The encode stage of the streaming pipeline: every :meth:`append` encodes
-    one pair *now* (overlapping CPU-bound tokenisation with the verification
-    still in flight upstream) and appends it to the handle; :meth:`consume`
-    drains an entire :class:`PairStream` and seals.  With ``spill_path`` each
-    encoded pair is also written to a JSONL shard as it lands — a durable
-    copy a later process reloads with :func:`read_encoded_pairs`, skipping
-    ranking and tokenisation entirely (this run's in-memory dataset is
-    unaffected: training still needs it).  Encoding telemetry accumulates on
-    :attr:`telemetry` (a :class:`StreamTelemetry`).
+    Every :meth:`append` encodes one pair and writes its record to the
+    in-flight tmp file; :meth:`seal` moves the finished shard to
+    ``spill_path``.  As a context manager a clean exit seals and an exception
+    discards the partial shard, so a failed run leaves no file behind.  The
+    writer counts :attr:`pairs_encoded` and the :attr:`encode_seconds` spent
+    tokenising.
     """
 
-    def __init__(
-        self,
-        tokenizer: Tokenizer,
-        *,
-        max_seq_len: int = 96,
-        spill_path: str | Path | None = None,
-    ):
+    def __init__(self, tokenizer: Tokenizer, *, spill_path: str | Path, max_seq_len: int = 96):
         self.tokenizer = tokenizer
         self.max_seq_len = max_seq_len
-        self.spill_path = Path(spill_path) if spill_path is not None else None
-        self.handle = DatasetHandle(
-            DPODataset(pairs=[], tokenizer=tokenizer, max_seq_len=max_seq_len)
-        )
-        self.telemetry = StreamTelemetry()
-        self._started = time.perf_counter()
-        self._spill_file = None
-        if self.spill_path is not None:
-            # Incremental writes land in a sibling tmp file that is moved
-            # into place atomically at seal time: readers never observe a
-            # truncated shard, yet each pair hits the disk as it is encoded.
-            self._spill_file = AtomicTextWriter(self.spill_path)
+        self.spill_path = Path(spill_path)
+        self.pairs_encoded = 0
+        self.encode_seconds = 0.0
+        self._spill = AtomicTextWriter(self.spill_path)
 
-    # ------------------------------------------------------------------ #
     def append(self, pair) -> EncodedPair:
-        """Encode one raw preference pair and append it to the handle."""
+        """Encode one raw preference pair and write its spill record."""
         start = time.perf_counter()
         encoded = encode_preference_pair(pair, self.tokenizer, max_seq_len=self.max_seq_len)
-        self.telemetry.encode_seconds += time.perf_counter() - start
-        if self._spill_file is not None:
-            self._spill_file.write(json.dumps(encoded_pair_record(encoded)) + "\n")
-        self.handle.append(encoded)
-        if self.telemetry.first_pair_seconds is None:
-            self.telemetry.first_pair_seconds = time.perf_counter() - self._started
-        self.telemetry.pairs_encoded += 1
+        self.encode_seconds += time.perf_counter() - start
+        self._spill.write(json.dumps(encoded_pair_record(encoded)) + "\n")
+        self.pairs_encoded += 1
         return encoded
 
-    def consume(self, stream: PairStream, *, progress_of=None) -> DatasetHandle:
-        """Drain ``stream`` to exhaustion, encoding as pairs arrive, then seal.
+    def seal(self) -> Path:
+        """Move the finished shard into place and return its path.
 
-        ``progress_of`` optionally maps a pair to a ``(done, total)`` tuple
-        reported to the handle (the pipeline stamps task progress this way).
-        A stream abort — or an encoding error — fails the handle with the
-        exception, so the trainer waiting downstream is released, then
-        re-raises.
+        Idempotent.  If the move fails (the target directory vanished, say)
+        the tmp file is still removed and the error propagates.
         """
-        try:
-            for pair in stream:
-                with obs.span("stream.encode", category="train", task=pair.task):
-                    self.append(pair)
-                if progress_of is not None:
-                    done, total = progress_of(pair)
-                    self.handle.report_progress(done, total)
-        except BaseException as exc:
-            self.fail(exc)
-            raise
-        self.telemetry.producer_blocked_seconds = stream.blocked_seconds
-        self.seal()
-        return self.handle
+        return self._spill.commit()
 
-    def seal(self) -> DatasetHandle:
-        """Seal the handle, finalise the spill shard, and stamp telemetry.
+    def __enter__(self) -> "DPODatasetWriter":
+        return self
 
-        If committing the spill fails (disk error, vanished directory), the
-        handle is *failed* with that exception before it re-raises — a waiter
-        blocked on the handle must be released with the error, never left to
-        wait for a seal that can no longer happen.
-        """
-        try:
-            self._finish_spill(commit=True)
-        except BaseException as exc:
-            self.handle.fail(exc)
-            raise
-        if self.telemetry.sealed_seconds is None:
-            self.telemetry.sealed_seconds = time.perf_counter() - self._started
-        self.handle.seal()
-        return self.handle
-
-    def fail(self, error: BaseException) -> None:
-        """Fail the handle (releasing any waiter) and drop the partial spill.
-
-        Failing the handle is the part that must never be skipped — a trainer
-        blocked on it would otherwise wait forever — so a spill-cleanup error
-        (e.g. the close() flush re-raising the disk failure that brought us
-        here) is swallowed in favour of the original ``error``.
-        """
-        try:
-            self._finish_spill(commit=False)
-        # repro: allow[swallowed-exception] — failing the handle must win over spill-cleanup errors
-        except BaseException:
-            pass
-        self.handle.fail(error)
-
-    def _finish_spill(self, *, commit: bool) -> None:
-        if self._spill_file is None:
-            return
-        spill_file, self._spill_file = self._spill_file, None
-        if commit:
-            spill_file.commit()
-        else:
-            spill_file.discard()
+    def __exit__(self, exc_type, exc_value, traceback) -> bool:
+        return self._spill.__exit__(exc_type, exc_value, traceback)
 
 
 def encoded_pair_record(encoded: EncodedPair) -> dict:
@@ -440,9 +85,9 @@ def encoded_pair_record(encoded: EncodedPair) -> dict:
 def read_encoded_pairs(path: str | Path) -> list:
     """Load the :class:`EncodedPair` list a writer spilled to ``path``.
 
-    The out-of-core complement of ``spill_path``: a later process can rebuild
-    a :class:`~repro.dpo.dataset.DPODataset` from the shard (plus the
-    tokenizer it was encoded with) without re-ranking or re-tokenising.
+    A later process can rebuild a :class:`~repro.dpo.dataset.DPODataset`
+    from the shard (plus the tokenizer it was encoded with) without
+    re-ranking or re-tokenising.
     """
     pairs = []
     with Path(path).open() as shard:  # line-by-line: shards can exceed memory

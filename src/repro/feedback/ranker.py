@@ -15,7 +15,7 @@ ranking.  Two items that compare equal under the sort key are literally the
 same ``(response, score)`` pair, so their relative order cannot matter.
 
 This property is what lets the pipeline build preference pairs from
-*streaming* verification results
+verification results in completion order
 (:meth:`~repro.serving.scheduler.FeedbackService.submit_batch` /
 :func:`~repro.serving.scheduler.as_completed`): no matter which batch
 finishes verification first, the pairs constructed from its scores are
@@ -72,40 +72,6 @@ def canonical_ranking(responses: Sequence[str], scores: Sequence) -> list:
     )
 
 
-def iter_ranked_pairs(
-    prompt: str,
-    responses: Sequence[str],
-    scores: Sequence[float],
-    *,
-    task: str = "",
-):
-    """Lazily yield one task's preference pairs in canonical order.
-
-    The generator core of :func:`rank_to_pairs`: pairs are enumerated over
-    the :func:`canonical_ranking` of the inputs, so the yielded *sequence*
-    (content and order) is invariant under any permutation of ``(responses,
-    scores)``.  Streaming consumers — the pipeline's pair producer feeding a
-    :class:`~repro.dpo.stream.PairStream` — can forward each pair downstream
-    the moment it is built instead of waiting for the task's full list.
-    """
-    if len(responses) != len(scores):
-        raise ValueError(f"got {len(responses)} responses but {len(scores)} scores")
-    ranking = canonical_ranking(responses, scores)
-    for a, b in combinations(ranking, 2):
-        # ``a`` precedes ``b`` in the canonical ranking, so scores[a] >=
-        # scores[b]; only a strict difference carries a preference.
-        if scores[a] == scores[b]:
-            continue
-        yield PreferencePair(
-            prompt=prompt,
-            chosen=responses[a],
-            rejected=responses[b],
-            chosen_score=float(scores[a]),
-            rejected_score=float(scores[b]),
-            task=task,
-        )
-
-
 def rank_to_pairs(
     prompt: str,
     responses: Sequence[str],
@@ -118,12 +84,11 @@ def rank_to_pairs(
 
     Every two responses whose scores differ produce one
     :class:`PreferencePair` oriented toward the higher score.  Pairs are
-    enumerated over the :func:`canonical_ranking` of the inputs (see
-    :func:`iter_ranked_pairs`, the lazy core), so the returned *list*
-    (content and order) is invariant under any permutation of ``(responses,
-    scores)`` — the property that makes streaming pair construction safe
-    (see the module docstring), and one the test suite property-tests over
-    random permutations.
+    enumerated over the :func:`canonical_ranking` of the inputs, so the
+    returned *list* (content and order) is invariant under any permutation of
+    ``(responses, scores)`` — the property that lets the pipeline build pairs
+    as verification results complete (see the module docstring), and one the
+    test suite property-tests over random permutations.
 
     Parameters
     ----------
@@ -139,7 +104,22 @@ def rank_to_pairs(
         and never produce a pair regardless of this flag; a strict score
         difference is what orients a pair in the first place.
     """
-    return list(iter_ranked_pairs(prompt, responses, scores, task=task))
+    if len(responses) != len(scores):
+        raise ValueError(f"got {len(responses)} responses but {len(scores)} scores")
+    # ``a`` precedes ``b`` in the canonical ranking, so scores[a] >=
+    # scores[b]; only a strict difference carries a preference.
+    return [
+        PreferencePair(
+            prompt=prompt,
+            chosen=responses[a],
+            rejected=responses[b],
+            chosen_score=float(scores[a]),
+            rejected_score=float(scores[b]),
+            task=task,
+        )
+        for a, b in combinations(canonical_ranking(responses, scores), 2)
+        if scores[a] != scores[b]
+    ]
 
 
 def max_pairs(num_tasks: int, responses_per_task: int) -> int:

@@ -281,7 +281,7 @@ def sample_response_frontier(
 ) -> list:
     """Sample ``counts[i]`` responses for every ``prompts[i]`` in one wave.
 
-    This is the pipeline producer's whole sampling frontier (m responses × N
+    This is the pipeline's whole sampling frontier (m responses × N
     tasks) as one lane set: per prompt, per-lane RNG streams are spawned in
     the same order the serial path would (:func:`spawn_lane_rngs` per prompt,
     in prompt order), so each response's text is identical to serial

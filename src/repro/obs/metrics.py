@@ -2,13 +2,13 @@
 
 Before this module each subsystem kept its own telemetry island —
 :class:`~repro.serving.metrics.ServingMetrics` counters on the feedback
-service, an ad-hoc ``stream_telemetry`` dict on the streaming training path,
-``Dispatcher.queued_batches`` polled by nobody.  A :class:`MetricsRegistry`
-federates them: instruments created through :meth:`MetricsRegistry.counter` /
-:meth:`~MetricsRegistry.gauge` / :meth:`~MetricsRegistry.histogram` live in
-the registry, and existing snapshot-shaped telemetry *registers as a
-provider* (:meth:`MetricsRegistry.register_provider`) — a named callable
-returning a JSON-friendly dict.  One :meth:`MetricsRegistry.snapshot` then
+service, ``Dispatcher.queued_batches`` polled by nobody.  A
+:class:`MetricsRegistry` federates them: instruments created through
+:meth:`MetricsRegistry.counter` / :meth:`~MetricsRegistry.gauge` /
+:meth:`~MetricsRegistry.histogram` live in the registry, and existing
+snapshot-shaped telemetry *registers as a provider*
+(:meth:`MetricsRegistry.register_provider`) — a named callable returning a
+JSON-friendly dict.  One :meth:`MetricsRegistry.snapshot` then
 yields the whole run's telemetry in a single dict, which is what the
 pipeline attaches to its result, the ``repro-serve`` CLI prints its summary
 from, and the trace exporter embeds in the Chrome trace's ``otherData``.
@@ -115,9 +115,9 @@ class MetricsRegistry:
 
     Instruments are created on first use (``registry.counter("x")`` twice
     returns the same object); providers are snapshot-shaped callables —
-    ``ServingMetrics.snapshot``, a ``stream_telemetry`` dict getter, a
-    dispatcher queue-depth reader — registered under a unique name.
-    :meth:`snapshot` merges everything into one dict.
+    ``ServingMetrics.snapshot``, a dispatcher queue-depth reader —
+    registered under a unique name.  :meth:`snapshot` merges everything into
+    one dict.
     """
 
     def __init__(self):

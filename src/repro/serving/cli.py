@@ -264,12 +264,13 @@ def write_pairs(jobs, scores, output: Path):
     Responses are grouped per ``task`` (first-occurrence order, input order
     within a group), ranked with the canonical, order-independent
     :func:`~repro.feedback.ranker.rank_to_pairs`, and tokenised by a
-    :class:`~repro.dpo.stream.DPODatasetWriter` spilling to ``output`` — the
-    same JSONL shard format the streaming pipeline writes, reloadable with
-    :func:`repro.dpo.stream.read_encoded_pairs`.  Every input is
-    deterministic (the tokenizer vocabulary is fit on the records in input
+    :class:`~repro.dpo.stream.DPODatasetWriter` spilling to ``output``,
+    reloadable with :func:`repro.dpo.stream.read_encoded_pairs`.  Every input
+    is deterministic (the tokenizer vocabulary is fit on the records in input
     order), so the file is byte-identical however the scores were obtained.
-    Returns the writer (telemetry on ``writer.telemetry``).
+    The file appears atomically: if encoding or writing fails, no partial
+    shard (and no tmp file) is left behind.  Returns the sealed writer, whose
+    ``pairs_encoded`` and ``encode_seconds`` count the work.
     """
     from repro.dpo.stream import DPODatasetWriter
     from repro.driving.tasks import task_by_name
@@ -299,11 +300,10 @@ def write_pairs(jobs, scores, output: Path):
         texts.extend(format_document(prompts[task], response) for response in responses)
     tokenizer = Tokenizer.fit(texts)
 
-    writer = DPODatasetWriter(tokenizer, spill_path=output)
-    for task, (responses, task_scores) in grouped.items():
-        for pair in rank_to_pairs(prompts[task], responses, task_scores, task=task):
-            writer.append(pair)
-    writer.seal()
+    with DPODatasetWriter(tokenizer, spill_path=output) as writer:
+        for task, (responses, task_scores) in grouped.items():
+            for pair in rank_to_pairs(prompts[task], responses, task_scores, task=task):
+                writer.append(pair)
     return writer
 
 
@@ -403,11 +403,11 @@ def main(argv=None) -> int:
     )
     if args.pairs_output is not None:
         pairs_writer = write_pairs(jobs, scores, args.pairs_output)
-        service.metrics.record_stage("encode", pairs_writer.telemetry.encode_seconds)
+        service.metrics.record_stage("encode", pairs_writer.encode_seconds)
         print(
-            f"wrote {pairs_writer.telemetry.pairs_encoded} encoded preference pairs "
+            f"wrote {pairs_writer.pairs_encoded} encoded preference pairs "
             f"to {args.pairs_output} "
-            f"(encode stage {pairs_writer.telemetry.encode_seconds:.2f}s)",
+            f"(encode stage {pairs_writer.encode_seconds:.2f}s)",
             file=sys.stderr,
         )
 

@@ -78,10 +78,10 @@ class ServingMetrics:
     def record_stage(self, name: str, seconds: float) -> None:
         """Accumulate wall-clock time for one named pipeline stage.
 
-        Stages are caller-defined (the streaming CLI records ``encode`` for
-        the pair-encoding pass; the pipeline may record its own) and land in
+        Stages are caller-defined (``repro-serve --pairs-output`` records
+        ``encode`` for the pair-encoding pass) and land in
         ``snapshot()["stage_seconds"]``, so consumers of the telemetry see
-        how the end-to-end wall clock splits across overlapping stages.
+        how the end-to-end wall clock splits across stages.
         """
         with self._lock:
             self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds

@@ -125,6 +125,146 @@ class TestPipelinePieces:
         assert evaluation.satisfaction_ratio() == 0.0
 
 
+class TestSerialSamplingOracle:
+    """The pipeline samples the whole task frontier in one batched wave; the
+    result must equal walking the tasks one by one with the serial
+    ``sample_responses`` oracle on the same rng, then scoring and ranking."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        with DPOAFPipeline(quick_pipeline_config(seed=0), specifications=core_specifications()) as pipeline:
+            pretrained = pipeline.pretrain_model()
+            yield pipeline, pretrained.model, pretrained.tokenizer
+
+    @staticmethod
+    def _serial_responses(model, tokenizer, tasks, num_samples, sampling, seed):
+        from repro.lm.corpus import format_prompt
+        from repro.lm.sampling import sample_responses
+
+        rng = np.random.default_rng(seed)
+        return [
+            (
+                task,
+                format_prompt(task),
+                sample_responses(
+                    model,
+                    tokenizer,
+                    format_prompt(task),
+                    num_samples,
+                    temperature=sampling.temperature,
+                    top_k=sampling.top_k,
+                    max_new_tokens=sampling.max_new_tokens,
+                    seed=rng,
+                ),
+            )
+            for task in tasks
+        ]
+
+    def test_collected_pairs_match_the_serial_oracle(self, trained):
+        from repro.feedback.ranker import rank_to_pairs
+
+        pipeline, model, tokenizer = trained
+        sampling = pipeline.config.sampling
+        expected = [
+            pair
+            for task, prompt, responses in self._serial_responses(
+                model, tokenizer, pipeline.tasks, sampling.responses_per_prompt, sampling, pipeline.config.seed
+            )
+            for pair in rank_to_pairs(
+                prompt,
+                responses,
+                [pipeline.score_response(task, response) for response in responses],
+                task=task.name,
+            )
+        ]
+        assert expected, "the oracle run must produce pairs to compare"
+        assert pipeline.collect_preference_pairs(model, tokenizer) == expected
+
+    def test_evaluation_matches_the_serial_oracle(self, trained):
+        pipeline, model, tokenizer = trained
+        tasks = list(pipeline.tasks) + list(pipeline.validation)
+        expected = [
+            (task.name, task.split, [pipeline.score_response(task, response) for response in responses])
+            for task, _prompt, responses in self._serial_responses(
+                model, tokenizer, tasks, 2, pipeline.config.sampling, 7
+            )
+        ]
+        evaluation = pipeline.evaluate_model(model, tokenizer, num_samples=2, seed=7)
+        assert [(t.task, t.split, t.satisfied_counts) for t in evaluation.per_task] == expected
+
+    def test_augmented_pairs_follow_the_input_then_task_order(self, trained):
+        pipeline = trained[0]
+        seed_pairs = pipeline.collect_preference_pairs(trained[1], trained[2])
+        augmented = pipeline.augment_with_templates(seed_pairs, per_task=3)
+        assert augmented[: len(seed_pairs)] == seed_pairs
+        added_tasks = [pair.task for pair in augmented[len(seed_pairs):]]
+        task_order = [task.name for task in pipeline.tasks]
+        assert added_tasks == sorted(added_tasks, key=task_order.index)
+        assert all(added_tasks.count(name) <= 3 for name in task_order)
+        assert set(added_tasks) == set(task_order)
+
+
+class TestDrainInOrder:
+    """``_drain_in_order`` runs ``build`` as batches complete but returns the
+    results in submission order."""
+
+    @staticmethod
+    def _drain(completion_order):
+        import threading
+        from concurrent.futures import Future
+
+        from repro.core.pipeline import _drain_in_order
+        from repro.serving.scheduler import PendingBatch
+
+        futures = [Future() for _ in completion_order]
+        pending = [(f"task{i}", PendingBatch([], future)) for i, future in enumerate(futures)]
+        built = []
+        progressed = threading.Semaphore(0)
+
+        def build(metadata, scores):
+            built.append(metadata[0])
+            progressed.release()
+            return metadata[0], scores
+
+        def complete():
+            # One completion at a time, each after the previous build ran,
+            # so completion order is exactly ``completion_order``.
+            for index in completion_order:
+                futures[index].set_result([index])
+                progressed.acquire(timeout=5)
+
+        completer = threading.Thread(target=complete, daemon=True)
+        completer.start()
+        results = _drain_in_order(pending, build)
+        completer.join(timeout=5)
+        assert not completer.is_alive()
+        return built, results
+
+    @pytest.mark.parametrize("completion_order", [[0, 1, 2], [2, 1, 0], [1, 2, 0]])
+    def test_builds_in_completion_order_and_returns_in_submission_order(self, completion_order):
+        built, results = self._drain(completion_order)
+        assert built == [f"task{i}" for i in completion_order]
+        assert results == [(f"task{i}", [i]) for i in range(len(completion_order))]
+
+    def test_no_pending_batches_builds_nothing(self):
+        from repro.core.pipeline import _drain_in_order
+
+        assert _drain_in_order([], lambda metadata, scores: pytest.fail("build called")) == []
+
+    def test_a_failed_batch_propagates_its_error(self):
+        from concurrent.futures import Future
+
+        from repro.core.pipeline import _drain_in_order
+        from repro.serving.scheduler import PendingBatch
+
+        ok, failed = Future(), Future()
+        ok.set_result([1])
+        failed.set_exception(RuntimeError("verifier crashed"))
+        pending = [("a", PendingBatch([], ok)), ("b", PendingBatch([], failed))]
+        with pytest.raises(RuntimeError, match="verifier crashed"):
+            _drain_in_order(pending, lambda metadata, scores: scores)
+
+
 def _pipeline_fingerprint(result):
     """Everything downstream of sampling, reduced to comparable values."""
     return {
@@ -138,22 +278,19 @@ def _pipeline_fingerprint(result):
     }
 
 
-class TestBatchedSamplingParity:
-    """PipelineConfig.batched_sampling must be invisible in the outputs: the
-    batched frontier and the serial per-task loop draw the same per-lane RNG
-    streams, so pairs, losses and evaluations are bitwise-identical — and
-    identical again across every serving backend."""
+class TestBackendParity:
+    """The serving backend must be invisible in the outputs: pairs, losses
+    and evaluations are bitwise-identical on every backend."""
 
     TASKS = 2  # keep the process-backend run affordable
 
-    def _run(self, *, batched: bool, backend: str = "serial"):
+    def _run(self, backend: str):
         import dataclasses
 
         from repro.serving import ServingConfig
 
         config = dataclasses.replace(
             quick_pipeline_config(seed=0),
-            batched_sampling=batched,
             serving=ServingConfig(backend=backend, max_workers=2),
         )
         with DPOAFPipeline(
@@ -164,11 +301,16 @@ class TestBatchedSamplingParity:
         ) as pipeline:
             return _pipeline_fingerprint(pipeline.run())
 
-    def test_batched_and_serial_sampling_agree(self):
-        assert self._run(batched=True) == self._run(batched=False)
-
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_batched_sampling_agrees_across_backends(self, backend):
-        assert self._run(batched=True, backend=backend) == self._run(
-            batched=True, backend="serial"
-        )
+    def test_thread_and_process_runs_equal_serial(self, backend):
+        assert self._run(backend) == self._run("serial")
+
+
+def test_removed_run_path_switches_are_rejected():
+    """A stale config naming a deleted run-path switch fails loudly."""
+    from repro.core.config import PipelineConfig
+
+    with pytest.raises(TypeError):
+        PipelineConfig(stream_training=True)
+    with pytest.raises(TypeError):
+        PipelineConfig(batched_sampling=False)

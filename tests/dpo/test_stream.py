@@ -1,40 +1,22 @@
-"""The streaming DPO training-data path: stream → writer → handle → trainer.
+"""The encoded-pair spill: ``DPODatasetWriter`` and ``read_encoded_pairs``.
 
 The contracts under test:
 
-* ``PairStream`` delivers pairs in put order, applies back-pressure at its
-  bound, and propagates producer failures (``abort``) to the consumer;
-* ``DatasetHandle`` append/seal/fail/wait semantics: appends after seal
-  raise, waiters are released by seal *and* by fail (re-raising), warm-up
-  gating follows producer progress;
-* a ``DPODatasetWriter``-built dataset — no matter how the pairs' arrival is
-  chunked or timed — equals ``DPODataset.from_preference_pairs`` exactly
-  (pair order, token ids, masks), and its JSONL spill round-trips;
-* ``DPOTrainer.train`` on a handle: the blocking path is bitwise-identical
-  to training on the sealed dataset directly; the streamed path consumes
-  every pair exactly once across the epoch boundary and is reproducible;
-* end to end, ``DPOAFPipeline.run(stream_training=True)`` produces the same
-  preference pairs as the blocking run and a sealed dataset equal to the
-  blocking-built one on all three serving backends.
+* the pairs a ``DPODatasetWriter`` encodes — and the spill it seals — equal
+  ``DPODataset.from_preference_pairs`` exactly (pair order, token ids, masks);
+* the spill appears only at seal time, and a writer left by an exception,
+  or whose seal fails, leaves neither the shard nor its tmp file behind;
+* the spill's JSONL record shape is stable, and ``read_encoded_pairs``
+  rejects corrupt records, naming the offending line;
+* a dataset rebuilt from a spill trains exactly like the directly built one.
 """
 
-import dataclasses
 import json
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro.dpo import (
-    DatasetHandle,
-    DPODataset,
-    DPODatasetWriter,
-    PairStream,
-    StreamClosed,
-    encode_preference_pair,
-    read_encoded_pairs,
-)
+from repro.dpo import DPODataset, DPODatasetWriter, encoded_pair_record, read_encoded_pairs
 from repro.errors import TrainingError
 from repro.feedback import PreferencePair
 from repro.lm import Tokenizer
@@ -77,186 +59,37 @@ def _toy_pairs(count: int = 6) -> list:
     return pairs
 
 
-class TestPairStream:
-    def test_delivers_in_put_order(self):
-        stream = PairStream()
-        pairs = _toy_pairs(5)
-        stream.put_many(pairs)
-        stream.close()
-        assert list(stream) == pairs
-
-    def test_put_after_close_raises(self):
-        stream = PairStream()
-        stream.close()
-        with pytest.raises(StreamClosed):
-            stream.put(_toy_pairs(1)[0])
-
-    def test_bounded_put_blocks_until_consumed(self):
-        stream = PairStream(maxsize=2)
-        pairs = _toy_pairs(4)
-        produced = []
-
-        def produce():
-            for pair in pairs:
-                stream.put(pair)
-                produced.append(pair)
-            stream.close()
-
-        producer = threading.Thread(target=produce, daemon=True)
-        producer.start()
-        deadline = time.monotonic() + 5
-        while len(produced) < 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        time.sleep(0.05)
-        # At the bound: two pairs in, the third put is blocked.
-        assert len(produced) == 2, "producer should block at maxsize"
-        consumed = list(stream)  # draining releases the producer
-        producer.join(timeout=5)
-        assert not producer.is_alive()
-        assert consumed == pairs
-        assert stream.blocked_seconds > 0
-
-    def test_abort_propagates_to_consumer_and_unblocks_producer(self):
-        stream = PairStream(maxsize=1)
-        stream.put(_toy_pairs(1)[0])
-        blocked = threading.Thread(target=lambda: _swallow(stream.put, _toy_pairs(2)[1]), daemon=True)
-        blocked.start()
-        stream.abort(RuntimeError("producer died"))
-        blocked.join(timeout=5)
-        assert not blocked.is_alive(), "abort must unblock a producer stuck on the bound"
-        with pytest.raises(RuntimeError, match="producer died"):
-            list(stream)
-
-
-def _swallow(fn, *args):
-    try:
-        fn(*args)
-    except Exception:
-        pass
-
-
-class TestDatasetHandle:
-    def _handle(self, tokenizer) -> DatasetHandle:
-        return DatasetHandle(DPODataset(pairs=[], tokenizer=tokenizer, max_seq_len=48))
-
-    def test_append_after_seal_raises(self, toy_tokenizer):
-        handle = self._handle(toy_tokenizer)
-        encoded = encode_preference_pair(_toy_pairs(1)[0], toy_tokenizer, max_seq_len=48)
-        handle.append(encoded)
-        handle.seal()
-        with pytest.raises(TrainingError):
-            handle.append(encoded)
-        assert len(handle) == 1 and handle.sealed
-
-    def test_wait_available_returns_at_seal_with_fewer_pairs(self, toy_tokenizer):
-        handle = self._handle(toy_tokenizer)
-        encoded = encode_preference_pair(_toy_pairs(1)[0], toy_tokenizer, max_seq_len=48)
-        handle.append(encoded)
-
-        results = {}
-
-        def wait():
-            results["end"] = handle.wait_available(10)
-
-        waiter = threading.Thread(target=wait, daemon=True)
-        waiter.start()
-        time.sleep(0.05)
-        assert waiter.is_alive(), "wait_available should block until seal"
-        handle.seal()
-        waiter.join(timeout=5)
-        assert results["end"] == 1
-
-    def test_wait_trainable_gates_on_progress_and_first_pair(self, toy_tokenizer):
-        handle = self._handle(toy_tokenizer)
-        encoded = encode_preference_pair(_toy_pairs(1)[0], toy_tokenizer, max_seq_len=48)
-        # Progress alone is not trainable: at least one pair must have landed.
-        handle.report_progress(3, 4)
-        with pytest.raises(TimeoutError):
-            handle.wait_trainable(0.5, timeout=0.05)
-        handle.append(encoded)
-        assert handle.wait_trainable(0.5, timeout=5) == 1
-        # A higher threshold still waits; seal satisfies it unconditionally.
-        with pytest.raises(TimeoutError):
-            handle.wait_trainable(0.9, timeout=0.05)
-        handle.seal()
-        assert handle.wait_trainable(0.9, timeout=5) == 1
-        assert handle.progress == 1.0
-
-    def test_wait_trainable_rejects_bad_fraction(self, toy_tokenizer):
-        handle = self._handle(toy_tokenizer)
-        with pytest.raises(ValueError):
-            handle.wait_trainable(1.5)
-
-    def test_fail_releases_waiters_with_the_error(self, toy_tokenizer):
-        handle = self._handle(toy_tokenizer)
-        errors = []
-
-        def wait():
-            try:
-                handle.wait_sealed()
-            except RuntimeError as exc:
-                errors.append(exc)
-
-        waiter = threading.Thread(target=wait, daemon=True)
-        waiter.start()
-        handle.fail(RuntimeError("upstream crashed"))
-        waiter.join(timeout=5)
-        assert errors and "upstream crashed" in str(errors[0])
-        with pytest.raises(RuntimeError):
-            handle.dataset()
-
-
 class TestDatasetWriter:
-    def test_streamed_dataset_equals_blocking_built(self, toy_tokenizer):
-        """Property: however arrival is chunked, the sealed dataset matches
-        DPODataset.from_preference_pairs exactly."""
+    def test_writer_encodes_like_the_dataset_build(self, toy_tokenizer, tmp_path):
         pairs = _toy_pairs(8)
-        blocking = DPODataset.from_preference_pairs(pairs, toy_tokenizer, max_seq_len=48)
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            stream = PairStream(maxsize=int(rng.integers(1, 5)))
-            writer = DPODatasetWriter(toy_tokenizer, max_seq_len=48)
-
-            def produce():
-                position = 0
-                while position < len(pairs):
-                    chunk = int(rng.integers(1, 4))
-                    stream.put_many(pairs[position: position + chunk])
-                    position += chunk
-                    time.sleep(float(rng.random()) * 0.002)
-                stream.close()
-
-            producer = threading.Thread(target=produce, daemon=True)
-            producer.start()
-            handle = writer.consume(stream)
-            producer.join(timeout=5)
-            sealed = handle.dataset()
-            assert sealed.pairs == blocking.pairs  # order, ids, masks — all of it
-            assert writer.telemetry.pairs_encoded == len(pairs)
-            assert writer.telemetry.first_pair_seconds is not None
+        built = DPODataset.from_preference_pairs(pairs, toy_tokenizer, max_seq_len=48)
+        spill = tmp_path / "pairs.jsonl"
+        with DPODatasetWriter(toy_tokenizer, max_seq_len=48, spill_path=spill) as writer:
+            encoded = [writer.append(pair) for pair in pairs]
+        assert encoded == built.pairs  # order, ids, masks — all of it
+        assert read_encoded_pairs(spill) == built.pairs
+        assert writer.pairs_encoded == len(pairs)
+        assert writer.encode_seconds > 0
 
     def test_spill_round_trips_and_is_atomic(self, toy_tokenizer, tmp_path):
         pairs = _toy_pairs(5)
         spill = tmp_path / "pairs.jsonl"
         writer = DPODatasetWriter(toy_tokenizer, max_seq_len=48, spill_path=spill)
-        for pair in pairs:
-            writer.append(pair)
+        encoded = [writer.append(pair) for pair in pairs]
         # Incremental writes go to a tmp sibling; the final path appears at seal.
         assert not spill.exists()
         assert list(tmp_path.glob("pairs.jsonl.tmp.*"))
-        writer.seal()
-        assert spill.exists()
+        assert writer.seal() == spill
         assert list(tmp_path.glob("pairs.jsonl.tmp.*")) == []
-        reloaded = read_encoded_pairs(spill)
-        assert reloaded == writer.handle.dataset().pairs
+        assert read_encoded_pairs(spill) == encoded
 
-    def test_failed_writer_drops_partial_spill(self, toy_tokenizer, tmp_path):
+    def test_exception_inside_the_writer_drops_the_partial_spill(self, toy_tokenizer, tmp_path):
         spill = tmp_path / "pairs.jsonl"
-        writer = DPODatasetWriter(toy_tokenizer, max_seq_len=48, spill_path=spill)
-        writer.append(_toy_pairs(1)[0])
-        writer.fail(RuntimeError("boom"))
-        assert not spill.exists()
-        assert list(tmp_path.glob("pairs.jsonl.tmp.*")) == []
+        with pytest.raises(RuntimeError, match="boom"):
+            with DPODatasetWriter(toy_tokenizer, max_seq_len=48, spill_path=spill) as writer:
+                writer.append(_toy_pairs(1)[0])
+                raise RuntimeError("boom")
+        assert list(tmp_path.iterdir()) == []
 
     def test_read_encoded_pairs_rejects_corrupt_lines(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -264,189 +97,141 @@ class TestDatasetWriter:
         with pytest.raises(ValueError):
             read_encoded_pairs(bad)
 
-    def test_failed_seal_fails_the_handle_instead_of_deadlocking(self, toy_tokenizer, tmp_path):
-        """Regression: if committing the spill raises at seal time, a trainer
-        blocked on the handle must be released with the error, not left
-        waiting forever for a seal that cannot happen."""
-        import shutil
-
-        spill_dir = tmp_path / "spill"
-        writer = DPODatasetWriter(toy_tokenizer, max_seq_len=48, spill_path=spill_dir / "pairs.jsonl")
+    def test_failed_seal_leaves_no_litter(self, toy_tokenizer, tmp_path):
+        """If committing the spill raises at seal time, the error propagates
+        and the tmp file is removed — nothing half-written survives."""
+        spill = tmp_path / "pairs.jsonl"
+        spill.mkdir()  # os.replace onto a directory fails
+        writer = DPODatasetWriter(toy_tokenizer, max_seq_len=48, spill_path=spill)
         writer.append(_toy_pairs(1)[0])
-        shutil.rmtree(spill_dir)  # the commit's os.replace target vanishes
+        assert list(tmp_path.glob("pairs.jsonl.tmp.*"))
         with pytest.raises(OSError):
             writer.seal()
-        assert writer.handle.sealed
-        with pytest.raises(OSError):
-            writer.handle.wait_sealed(timeout=1)
+        assert list(tmp_path.iterdir()) == [spill]
+        assert list(spill.iterdir()) == []
 
-    def test_fail_still_fails_the_handle_when_spill_cleanup_raises(self, toy_tokenizer, tmp_path):
-        """Regression: a spill discard() re-raising (e.g. ENOSPC on the close
-        flush) must not prevent the handle from being failed — waiters would
-        hang."""
-        writer = DPODatasetWriter(toy_tokenizer, max_seq_len=48, spill_path=tmp_path / "pairs.jsonl")
-        writer._spill_file.discard()  # release the real spill's tmp file
+    def test_empty_writer_seals_an_empty_shard(self, toy_tokenizer, tmp_path):
+        spill = tmp_path / "pairs.jsonl"
+        with DPODatasetWriter(toy_tokenizer, max_seq_len=48, spill_path=spill) as writer:
+            pass
+        assert spill.read_text() == ""
+        assert read_encoded_pairs(spill) == []
+        assert writer.pairs_encoded == 0
 
-        class ExplodingSpill:
-            def commit(self):
-                raise OSError("no space left on device")
+    def test_seal_is_idempotent(self, toy_tokenizer, tmp_path):
+        spill = tmp_path / "pairs.jsonl"
+        writer = DPODatasetWriter(toy_tokenizer, max_seq_len=48, spill_path=spill)
+        writer.append(_toy_pairs(1)[0])
+        assert writer.seal() == spill
+        contents = spill.read_text()
+        assert writer.seal() == spill
+        assert spill.read_text() == contents
+        assert sorted(tmp_path.iterdir()) == [spill]
 
-            def discard(self):
-                raise OSError("no space left on device")
+    def test_writer_creates_missing_parent_directories(self, toy_tokenizer, tmp_path):
+        spill = tmp_path / "a" / "b" / "pairs.jsonl"
+        with DPODatasetWriter(toy_tokenizer, max_seq_len=48, spill_path=spill) as writer:
+            writer.append(_toy_pairs(1)[0])
+        assert len(read_encoded_pairs(spill)) == 1
 
-            def write(self, _text):
-                raise OSError("no space left on device")
+    def test_failed_encode_writes_and_counts_nothing(self, toy_tokenizer, tmp_path):
+        spill = tmp_path / "pairs.jsonl"
+        writer = DPODatasetWriter(toy_tokenizer, max_seq_len=48, spill_path=spill)
+        with pytest.raises(TrainingError):
+            writer.append("not a pair")
+        assert writer.pairs_encoded == 0
+        writer.append(_toy_pairs(1)[0])
+        writer.seal()
+        assert writer.pairs_encoded == 1
+        assert len(read_encoded_pairs(spill)) == 1
 
-        writer._spill_file = ExplodingSpill()
-        writer.fail(RuntimeError("original failure"))
-        with pytest.raises(RuntimeError, match="original failure"):
-            writer.handle.wait_sealed(timeout=1)
-
-    def test_consume_aborted_stream_fails_handle_and_raises(self, toy_tokenizer):
-        stream = PairStream()
-        stream.put(_toy_pairs(1)[0])
-        writer = DPODatasetWriter(toy_tokenizer, max_seq_len=48)
-
-        def abort_soon():
-            time.sleep(0.02)
-            stream.abort(RuntimeError("verification failed"))
-
-        threading.Thread(target=abort_soon, daemon=True).start()
-        with pytest.raises(RuntimeError, match="verification failed"):
-            writer.consume(stream)
-        with pytest.raises(RuntimeError, match="verification failed"):
-            writer.handle.wait_sealed()
+    def test_over_long_pairs_spill_truncated_like_the_dataset_build(self, toy_tokenizer, tmp_path):
+        pairs = _toy_pairs(4)
+        built = DPODataset.from_preference_pairs(pairs, toy_tokenizer, max_seq_len=10)
+        assert any(len(pair.chosen_ids) == 10 for pair in built.pairs)  # truncation happened
+        spill = tmp_path / "pairs.jsonl"
+        with DPODatasetWriter(toy_tokenizer, max_seq_len=10, spill_path=spill) as writer:
+            for pair in pairs:
+                writer.append(pair)
+        reloaded = read_encoded_pairs(spill)
+        assert reloaded == built.pairs
+        assert all(len(pair.chosen_ids) <= 10 and pair.chosen_response_start <= 9 for pair in reloaded)
 
 
-class TestTrainerWithHandle:
-    def _model(self, tokenizer):
-        from repro.lm import ModelConfig, TransformerLM
+class TestSpillFormat:
+    """The JSONL record shape is a contract: later processes rebuild a
+    training set from it without re-ranking or re-tokenising."""
 
+    def test_one_record_per_line_in_append_order(self, toy_tokenizer, tmp_path):
+        pairs = _toy_pairs(3)
+        spill = tmp_path / "pairs.jsonl"
+        with DPODatasetWriter(toy_tokenizer, max_seq_len=48, spill_path=spill) as writer:
+            encoded = [writer.append(pair) for pair in pairs]
+        lines = spill.read_text().splitlines()
+        assert len(lines) == len(pairs)
+        for line, pair in zip(lines, encoded):
+            assert json.loads(line) == encoded_pair_record(pair)
+            assert set(json.loads(line)) == {
+                "task",
+                "chosen_ids",
+                "rejected_ids",
+                "chosen_response_start",
+                "rejected_response_start",
+            }
+        assert [json.loads(line)["task"] for line in lines] == ["task_0", "task_1", "task_2"]
+
+    def test_reader_skips_blank_lines_and_defaults_the_task(self, tmp_path):
+        shard = tmp_path / "pairs.jsonl"
+        record = {"chosen_ids": [1, 2, 3], "rejected_ids": [1, 4], "chosen_response_start": 1, "rejected_response_start": 1}
+        shard.write_text("\n" + json.dumps(record) + "\n\n   \n")
+        (pair,) = read_encoded_pairs(shard)
+        assert pair.chosen_ids == [1, 2, 3] and pair.rejected_ids == [1, 4]
+        assert pair.task == ""
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "not json at all",
+            '{"chosen_ids": [1], "rejected_ids": [2], "chosen_response_start": 0}',
+            '{"chosen_ids": 7, "rejected_ids": [2], "chosen_response_start": 0, "rejected_response_start": 0}',
+            '{"chosen_ids": [1], "rejected_ids": [2], "chosen_response_start": "x", "rejected_response_start": 0}',
+        ],
+        ids=["not-json", "missing-field", "ids-not-a-list", "non-integer-start"],
+    )
+    def test_reader_names_the_bad_line(self, tmp_path, bad_line):
+        good = json.dumps(
+            {"chosen_ids": [1], "rejected_ids": [2], "chosen_response_start": 0, "rejected_response_start": 0}
+        )
+        shard = tmp_path / "pairs.jsonl"
+        shard.write_text(good + "\n" + bad_line + "\n")
+        with pytest.raises(ValueError, match=r"pairs\.jsonl:2: invalid encoded-pair record"):
+            read_encoded_pairs(shard)
+
+
+def test_training_on_a_reloaded_spill_matches_training_on_the_built_dataset(toy_tokenizer, tmp_path):
+    """A dataset rebuilt from a spill trains bitwise-identically to one built
+    from the raw pairs: same losses, same final weights."""
+    from repro.dpo import DPOConfig, DPOTrainer
+    from repro.lm import ModelConfig, TransformerLM
+
+    def model():
         config = ModelConfig(
-            vocab_size=tokenizer.vocab_size, max_seq_len=48, dim=16, num_heads=2, num_layers=1, hidden_dim=32
+            vocab_size=toy_tokenizer.vocab_size, max_seq_len=48, dim=16, num_heads=2, num_layers=1, hidden_dim=32
         )
         return TransformerLM(config, seed=0)
 
-    def test_blocking_handle_training_matches_dataset_training(self, toy_tokenizer):
-        from repro.dpo import DPOConfig, DPOTrainer
+    pairs = _toy_pairs(6)
+    config = DPOConfig(num_epochs=2, batch_size=3, checkpoint_every=1, lora_rank=2, seed=0)
+    built = DPODataset.from_preference_pairs(pairs, toy_tokenizer, max_seq_len=48)
+    direct = DPOTrainer(model(), toy_tokenizer, config).train(built)
 
-        pairs = _toy_pairs(6)
-        dataset = DPODataset.from_preference_pairs(pairs, toy_tokenizer, max_seq_len=48)
-        config = DPOConfig(num_epochs=2, batch_size=3, checkpoint_every=1, lora_rank=2, seed=0)
-
-        direct = DPOTrainer(self._model(toy_tokenizer), toy_tokenizer, config).train(dataset)
-
-        writer = DPODatasetWriter(toy_tokenizer, max_seq_len=48)
+    spill = tmp_path / "pairs.jsonl"
+    with DPODatasetWriter(toy_tokenizer, max_seq_len=48, spill_path=spill) as writer:
         for pair in pairs:
             writer.append(pair)
-        writer.seal()
-        via_handle = DPOTrainer(self._model(toy_tokenizer), toy_tokenizer, config).train(writer.handle)
+    reloaded = DPODataset(pairs=read_encoded_pairs(spill), tokenizer=toy_tokenizer, max_seq_len=48)
+    via_spill = DPOTrainer(model(), toy_tokenizer, config).train(reloaded)
 
-        assert via_handle.history.losses == direct.history.losses
-        for key, value in direct.policy.state_dict().items():
-            assert np.array_equal(via_handle.policy.state_dict()[key], value), key
-
-    def test_streamed_training_consumes_every_pair_once_and_is_reproducible(self, toy_tokenizer):
-        """Epoch-boundary semantics: the streamed epoch drains the growing
-        prefix exactly once, waits for the seal, and later epochs shuffle the
-        sealed dataset — identically however arrival was timed."""
-        from repro.dpo import DPOConfig, DPOTrainer
-
-        pairs = _toy_pairs(7)
-        config = DPOConfig(num_epochs=3, batch_size=3, checkpoint_every=1, lora_rank=2, seed=0)
-        results = []
-        for delay in (0.0, 0.005):
-            writer = DPODatasetWriter(toy_tokenizer, max_seq_len=48)
-            handle = writer.handle
-
-            def produce(delay=delay, writer=writer):
-                for i, pair in enumerate(pairs):
-                    writer.append(pair)
-                    handle.report_progress(i + 1, len(pairs))
-                    if delay:
-                        time.sleep(delay)
-                writer.seal()
-
-            producer = threading.Thread(target=produce, daemon=True)
-            producer.start()
-            trainer = DPOTrainer(self._model(toy_tokenizer), toy_tokenizer, config)
-            result = trainer.train(handle, stream=True, warmup_fraction=0.25)
-            producer.join(timeout=5)
-            assert trainer.first_batch_ready_seconds is not None
-            # 3 epochs over 7 pairs at batch 3: epoch 1 streams ceil windows,
-            # epochs 2-3 shuffle 3 batches each.
-            assert result.history.num_epochs == 3
-            results.append(result)
-
-        fast, slow = results
-        assert fast.history.losses == slow.history.losses, "streamed training must not depend on timing"
-        for key, value in fast.policy.state_dict().items():
-            assert np.array_equal(slow.policy.state_dict()[key], value), key
-
-    def test_streamed_training_on_empty_handle_raises(self, toy_tokenizer):
-        from repro.dpo import DPOConfig, DPOTrainer
-
-        writer = DPODatasetWriter(toy_tokenizer, max_seq_len=48)
-        writer.seal()
-        trainer = DPOTrainer(self._model(toy_tokenizer), toy_tokenizer, DPOConfig(num_epochs=1))
-        with pytest.raises(TrainingError):
-            trainer.train(writer.handle, stream=True)
-
-
-class TestPipelineStreaming:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_sealed_streamed_dataset_equals_blocking_dataset(self, backend, tmp_path):
-        """Acceptance: on every backend, the streaming run collects the same
-        pairs as the blocking run and its sealed dataset equals the
-        blocking-built one (pair order, token ids, masks)."""
-        from repro.core import DPOAFPipeline
-        from repro.core.config import quick_pipeline_config
-        from repro.driving import core_specifications, training_tasks
-        from repro.serving import ServingConfig
-
-        base = quick_pipeline_config(seed=0)
-        spill = tmp_path / f"pairs-{backend}.jsonl"
-        serving = ServingConfig(backend=backend, max_workers=2)
-        blocking_cfg = dataclasses.replace(base, serving=serving)
-        streaming_cfg = dataclasses.replace(
-            base,
-            serving=serving,
-            stream_training=True,
-            stream_warmup_fraction=0.25,
-            stream_pairs_path=str(spill),
-        )
-        kwargs = dict(
-            specifications=core_specifications(), tasks=training_tasks()[:2], validation=()
-        )
-        with DPOAFPipeline(blocking_cfg, **kwargs) as pipeline:
-            blocking = pipeline.run()
-        with DPOAFPipeline(streaming_cfg, **kwargs) as pipeline:
-            streamed = pipeline.run()
-
-        assert streamed.preference_pairs == blocking.preference_pairs, backend
-
-        tokenizer = blocking.pretrain_result.tokenizer
-        max_seq_len = blocking.pretrain_result.model.config.max_seq_len
-        blocking_dataset = DPODataset.from_preference_pairs(
-            blocking.preference_pairs, tokenizer, max_seq_len=max_seq_len
-        )
-        assert read_encoded_pairs(spill) == blocking_dataset.pairs, backend
-
-        telemetry = streamed.stream_telemetry
-        assert telemetry["pairs_encoded"] == len(blocking.preference_pairs)
-        assert telemetry["first_trainable_pair_seconds"] is not None
-        assert telemetry["spill_path"] == str(spill)
-
-    def test_default_config_keeps_the_blocking_path(self):
-        from repro.core.config import PipelineConfig
-
-        config = PipelineConfig()
-        assert config.stream_training is False
-
-    def test_config_rejects_bad_stream_values(self):
-        from repro.core.config import PipelineConfig
-
-        with pytest.raises(ValueError):
-            PipelineConfig(stream_warmup_fraction=1.5)
-        with pytest.raises(ValueError):
-            PipelineConfig(stream_buffer_pairs=-1)
+    assert via_spill.history.losses == direct.history.losses
+    for key, value in direct.policy.state_dict().items():
+        assert np.array_equal(via_spill.policy.state_dict()[key], value), key

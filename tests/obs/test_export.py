@@ -23,6 +23,7 @@ from repro.obs.report import (
     stage_breakdown,
 )
 from repro.obs.tracer import CounterSample, Span, Tracer
+from repro.serving.metrics import ServingMetrics
 
 
 def make_span(name, *, start_ns, duration_ns=1000, category="modelcheck", span_id=1, **attrs):
@@ -170,12 +171,16 @@ class TestReport:
         tracer = Tracer()
         with tracer.span("mc.construct", category="modelcheck", spec="phi_6"):
             pass
+        serving = ServingMetrics()
+        serving.record_stage("encode", 1.5)
         path = write_chrome_trace(
-            tmp_path / "t.json", tracer, metrics={"serving": None, "stream": {"pairs": 4}}
+            tmp_path / "t.json", tracer, metrics={"serving": serving.snapshot()}
         )
         text = report_from_trace(load_chrome_trace(path))
         assert "phi_6" in text
-        assert "pairs: 4" in text
+        assert "== serving ==" in text
+        assert "scored 0 responses" in text
+        assert "stage encode: 1.50s" in text
 
 
 class TestCli:

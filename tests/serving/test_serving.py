@@ -544,6 +544,31 @@ class TestCli:
         encoded = read_encoded_pairs(pairs_path)
         assert all(pair.task == "custom_merge" for pair in encoded)
 
+    def test_pairs_output_failure_leaves_no_file(self, tmp_path, monkeypatch):
+        """Regression: an error while encoding a pair must propagate and
+        leave neither the output shard nor its tmp file behind."""
+        import repro.dpo.stream as stream
+        from repro.serving.cli import write_pairs
+
+        task = task_by_name("turn_right_traffic_light")
+        responses = response_templates(task.name, "compliant")[:2] + response_templates(task.name, "flawed")[:1]
+        jobs = [({"task": task.name, "response": response}, task.scenario) for response in responses]
+        real_encode = stream.encode_preference_pair
+        calls = []
+
+        def failing_encode(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(stream, "encode_preference_pair", failing_encode)
+        output_dir = tmp_path / "pairs"
+        with pytest.raises(OSError, match="disk full"):
+            write_pairs(jobs, [15, 10, 3], output_dir / "pairs.jsonl")
+        assert len(calls) == 2
+        assert list(output_dir.iterdir()) == []
+
 
 class TestJobLevelApi:
     def test_score_batch_mixed_scenarios(self):
